@@ -34,10 +34,12 @@ cargo bench -p cpm-bench --bench workload -- --test
 echo "== flight-recorder bench (smoke + <100ns/record gate)"
 cargo bench -p cpm-bench --bench obs -- --test
 
-echo "== DES engine tests (calendar queue, pooled events, schedule fuzzing)"
+echo "== DES engine tests (calendar queue, pooled events, schedule fuzzing, script parity)"
 cargo test -p cpm-des -q
 cargo test -p cpm-workload --test determinism -q
 cargo test -p cpm-collectives --test schedule_fuzz -q
+cargo test -p cpm-estimate --test script_parity -q
+cargo test -p cpm-collectives --test script_parity -q
 
 echo "== DES bench gate (no per-event allocation, 1000-rank replay < 5 s)"
 cargo bench -p cpm-bench --bench des -- --test

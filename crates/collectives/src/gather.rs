@@ -10,6 +10,7 @@
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
+use cpm_netsim::ScriptOp;
 use cpm_vmpi::Comm;
 
 /// Linear gather: every non-root sends its `m`-byte block to the root; the
@@ -17,16 +18,26 @@ use cpm_vmpi::Comm;
 ///
 /// All ranks must call this collectively.
 pub fn linear_gather(c: &mut Comm<'_>, root: Rank, m: Bytes) {
-    let n = c.size();
+    c.run_ops(&linear_gather_script(c.size(), c.rank(), root, m));
+}
+
+/// Rank `me`'s part of [`linear_gather`] over `n` ranks, as a
+/// straight-line script.
+///
+/// # Panics
+/// Panics when `root` is not one of the `n` ranks.
+pub fn linear_gather_script(n: usize, me: Rank, root: Rank, m: Bytes) -> Vec<ScriptOp> {
     assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                let _ = c.recv(Rank::from(i));
-            }
-        }
+    if me == root {
+        (0..n)
+            .filter(|&i| i != root.idx())
+            .map(|i| ScriptOp::Recv { src: Rank::from(i) })
+            .collect()
     } else {
-        c.send(root, m);
+        vec![ScriptOp::Send {
+            dst: root,
+            bytes: m,
+        }]
     }
 }
 
@@ -37,15 +48,23 @@ pub fn linear_gather(c: &mut Comm<'_>, root: Rank, m: Bytes) {
 ///
 /// All ranks in the tree must call this collectively.
 pub fn binomial_gather(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
-    let me = c.rank();
-    let mut children = tree.children_of(me);
-    children.reverse(); // smallest sub-tree first
-    for (child, _) in children {
-        let _ = c.recv(child);
-    }
-    if let Some(parent) = tree.parent_of(me) {
-        c.send(parent, tree.subtree_size(me) * m);
-    }
+    c.run_ops(&binomial_gather_script(tree, c.rank(), m));
+}
+
+/// Rank `me`'s part of [`binomial_gather`] along `tree`, as a
+/// straight-line script.
+pub fn binomial_gather_script(tree: &BinomialTree, me: Rank, m: Bytes) -> Vec<ScriptOp> {
+    // Smallest sub-tree first.
+    let recvs = tree
+        .children_of(me)
+        .into_iter()
+        .rev()
+        .map(|(src, _)| ScriptOp::Recv { src });
+    let send = tree.parent_of(me).map(|dst| ScriptOp::Send {
+        dst,
+        bytes: tree.subtree_size(me) * m,
+    });
+    recvs.chain(send).collect()
 }
 
 #[cfg(test)]

@@ -7,17 +7,22 @@
 //! *estimation* experiments lives in `cpm-estimate`; for observing whole
 //! collectives the max-time method senses the true completion (a root-only
 //! timer would miss the tail of a scatter).
+//!
+//! The five measured schedules (linear and binomial scatter and gather,
+//! and the optimized gather) run as per-rank scripts on the simulator's
+//! threadless path; [`collective_times`] runs any other `Comm` program on
+//! rank threads.
 
-use cpm_core::error::Result;
+use cpm_core::error::{CpmError, Result};
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_netsim::SimCluster;
-use cpm_vmpi::{run_timed_max, Comm};
+use cpm_netsim::{ScriptOp, SimCluster};
+use cpm_vmpi::{run_timed_max, run_timed_program, Comm, TimedScript};
 
-use crate::gather::{binomial_gather, linear_gather};
-use crate::optimized::optimized_gather;
-use crate::scatter::{binomial_scatter, linear_scatter};
+use crate::gather::{binomial_gather_script, linear_gather_script};
+use crate::optimized::optimized_gather_script;
+use crate::scatter::{binomial_scatter_script, linear_scatter_script};
 use cpm_models::GatherEmpirics;
 
 /// Measures any collective `op` `reps` times, returning per-repetition
@@ -35,6 +40,46 @@ where
     run_timed_max(&cluster.reseeded(seed), reps, |c, _| op(c))
 }
 
+/// [`collective_times`] for a collective given as its per-rank lowering
+/// `script_of(rank)`: every repetition is a barrier followed by the rank's
+/// script, and its completion time is the maximum over ranks of "barrier
+/// release → last op done".
+fn script_times(
+    cluster: &SimCluster,
+    reps: usize,
+    seed: u64,
+    script_of: impl Fn(Rank) -> Vec<ScriptOp>,
+) -> Result<Vec<f64>> {
+    let scripts = (0..cluster.n())
+        .map(|r| {
+            let body = script_of(Rank::from(r));
+            let mut s = TimedScript::default();
+            for _ in 0..reps {
+                let t0 = s.barrier();
+                s.ops(&body);
+                s.sample_since(t0);
+            }
+            s
+        })
+        .collect();
+    let (times, _) = run_timed_program(&cluster.reseeded(seed), scripts)?;
+    Ok((0..reps)
+        .map(|k| times.iter().map(|t| t[k]).fold(0.0, f64::max))
+        .collect())
+}
+
+/// The cluster size, once `root` is known to be one of its ranks.
+fn size_with_root(cluster: &SimCluster, root: Rank) -> Result<usize> {
+    let n = cluster.n();
+    if root.idx() < n {
+        Ok(n)
+    } else {
+        Err(CpmError::InvalidConfig(format!(
+            "root {root} out of range for {n} nodes"
+        )))
+    }
+}
+
 /// Root-side times of `reps` linear scatters.
 pub fn linear_scatter_times(
     cluster: &SimCluster,
@@ -43,7 +88,10 @@ pub fn linear_scatter_times(
     reps: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    collective_times(cluster, root, reps, seed, |c| linear_scatter(c, root, m))
+    let n = size_with_root(cluster, root)?;
+    script_times(cluster, reps, seed, |me| {
+        linear_scatter_script(n, me, root, m)
+    })
 }
 
 /// Root-side times of `reps` linear gathers.
@@ -54,7 +102,10 @@ pub fn linear_gather_times(
     reps: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    collective_times(cluster, root, reps, seed, |c| linear_gather(c, root, m))
+    let n = size_with_root(cluster, root)?;
+    script_times(cluster, reps, seed, |me| {
+        linear_gather_script(n, me, root, m)
+    })
 }
 
 /// Root-side times of `reps` binomial scatters (conventional tree mapping).
@@ -65,8 +116,10 @@ pub fn binomial_scatter_times(
     reps: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    let tree = BinomialTree::new(cluster.n(), root);
-    collective_times(cluster, root, reps, seed, |c| binomial_scatter(c, &tree, m))
+    let tree = BinomialTree::new(size_with_root(cluster, root)?, root);
+    script_times(cluster, reps, seed, |me| {
+        binomial_scatter_script(&tree, me, m)
+    })
 }
 
 /// Root-side times of `reps` binomial gathers.
@@ -77,8 +130,10 @@ pub fn binomial_gather_times(
     reps: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    let tree = BinomialTree::new(cluster.n(), root);
-    collective_times(cluster, root, reps, seed, |c| binomial_gather(c, &tree, m))
+    let tree = BinomialTree::new(size_with_root(cluster, root)?, root);
+    script_times(cluster, reps, seed, |me| {
+        binomial_gather_script(&tree, me, m)
+    })
 }
 
 /// Root-side times of `reps` optimized gathers.
@@ -90,8 +145,9 @@ pub fn optimized_gather_times(
     reps: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    collective_times(cluster, root, reps, seed, |c| {
-        optimized_gather(c, root, m, empirics)
+    let n = size_with_root(cluster, root)?;
+    script_times(cluster, reps, seed, |me| {
+        optimized_gather_script(n, me, root, m, empirics)
     })
 }
 
@@ -105,15 +161,9 @@ pub fn linear_gather_once(cluster: &SimCluster, root: Rank, m: Bytes) -> f64 {
     linear_gather_times(cluster, root, m, 1, cluster.seed).expect("simulation runs")[0]
 }
 
-/// One binomial scatter observation rooted at 0.
+/// One binomial scatter observation.
 pub fn binomial_scatter_once(cluster: &SimCluster, root: Rank, m: Bytes) -> f64 {
     binomial_scatter_times(cluster, root, m, 1, cluster.seed).expect("simulation runs")[0]
-}
-
-/// One binomial scatter observation with an arbitrary root (alias kept for
-/// clarity at call sites exercising non-zero roots).
-pub fn binomial_scatter_once_rooted(cluster: &SimCluster, root: Rank, m: Bytes) -> f64 {
-    binomial_scatter_once(cluster, root, m)
 }
 
 /// One binomial gather observation.
@@ -150,6 +200,17 @@ mod tests {
         let spread = ts.iter().cloned().fold(0.0f64, f64::max)
             - ts.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(spread > 0.0);
+    }
+
+    #[test]
+    fn out_of_range_root_is_an_error() {
+        let cl = cluster();
+        for err in [
+            linear_scatter_times(&cl, Rank(4), KIB, 1, 1).unwrap_err(),
+            binomial_gather_times(&cl, Rank(9), KIB, 1, 1).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use cpm_models::GatherEmpirics;
+use cpm_netsim::ScriptOp;
 use cpm_vmpi::Comm;
 
-use crate::gather::linear_gather;
+use crate::gather::linear_gather_script;
 
 /// The piece size the optimizer splits to: half of `M1`. The margin
 /// matters because `M1` is estimated as "the last clean size on the sweep
@@ -40,17 +41,39 @@ pub fn split_count(m: Bytes, empirics: &GatherEmpirics) -> usize {
 ///
 /// All ranks must call this collectively.
 pub fn optimized_gather(c: &mut Comm<'_>, root: Rank, m: Bytes, empirics: &GatherEmpirics) {
+    c.run_ops(&optimized_gather_script(
+        c.size(),
+        c.rank(),
+        root,
+        m,
+        empirics,
+    ));
+}
+
+/// Rank `me`'s part of [`optimized_gather`] over `n` ranks, as a
+/// straight-line script: one linear gather per piece.
+///
+/// # Panics
+/// Panics when `root` is not one of the `n` ranks.
+pub fn optimized_gather_script(
+    n: usize,
+    me: Rank,
+    root: Rank,
+    m: Bytes,
+    empirics: &GatherEmpirics,
+) -> Vec<ScriptOp> {
     let k = split_count(m, empirics);
     if k == 1 {
-        linear_gather(c, root, m);
-        return;
+        return linear_gather_script(n, me, root, m);
     }
     let piece = m / k as u64;
     let last = m - piece * (k as u64 - 1);
-    for round in 0..k {
-        let this = if round + 1 == k { last } else { piece };
-        linear_gather(c, root, this);
-    }
+    (0..k)
+        .flat_map(|round| {
+            let this = if round + 1 == k { last } else { piece };
+            linear_gather_script(n, me, root, this)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
+use cpm_netsim::ScriptOp;
 use cpm_vmpi::Comm;
 
 /// Linear scatter: the root sends one `m`-byte block to every other rank,
@@ -18,16 +19,26 @@ use cpm_vmpi::Comm;
 ///
 /// All ranks must call this collectively.
 pub fn linear_scatter(c: &mut Comm<'_>, root: Rank, m: Bytes) {
-    let n = c.size();
+    c.run_ops(&linear_scatter_script(c.size(), c.rank(), root, m));
+}
+
+/// Rank `me`'s part of [`linear_scatter`] over `n` ranks, as a
+/// straight-line script.
+///
+/// # Panics
+/// Panics when `root` is not one of the `n` ranks.
+pub fn linear_scatter_script(n: usize, me: Rank, root: Rank, m: Bytes) -> Vec<ScriptOp> {
     assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                c.send(Rank::from(i), m);
-            }
-        }
+    if me == root {
+        (0..n)
+            .filter(|&i| i != root.idx())
+            .map(|i| ScriptOp::Send {
+                dst: Rank::from(i),
+                bytes: m,
+            })
+            .collect()
     } else {
-        let _ = c.recv(root);
+        vec![ScriptOp::Recv { src: root }]
     }
 }
 
@@ -38,13 +49,21 @@ pub fn linear_scatter(c: &mut Comm<'_>, root: Rank, m: Bytes) {
 /// `m` is the per-process block size; the message on an arc carries
 /// `blocks·m` bytes. All ranks in the tree must call this collectively.
 pub fn binomial_scatter(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
-    let me = c.rank();
-    if let Some(parent) = tree.parent_of(me) {
-        let _ = c.recv(parent);
-    }
-    for (child, blocks) in tree.children_of(me) {
-        c.send(child, blocks * m);
-    }
+    c.run_ops(&binomial_scatter_script(tree, c.rank(), m));
+}
+
+/// Rank `me`'s part of [`binomial_scatter`] along `tree`, as a
+/// straight-line script.
+pub fn binomial_scatter_script(tree: &BinomialTree, me: Rank, m: Bytes) -> Vec<ScriptOp> {
+    let recv = tree.parent_of(me).map(|src| ScriptOp::Recv { src });
+    let sends = tree
+        .children_of(me)
+        .into_iter()
+        .map(|(dst, blocks)| ScriptOp::Send {
+            dst,
+            bytes: blocks * m,
+        });
+    recv.into_iter().chain(sends).collect()
 }
 
 #[cfg(test)]
@@ -141,7 +160,7 @@ mod tests {
     #[test]
     fn binomial_scatter_from_nonzero_root() {
         let cl = cluster(8);
-        let t = measure::binomial_scatter_once_rooted(&cl, Rank(3), 4 * KIB);
+        let t = measure::binomial_scatter_once(&cl, Rank(3), 4 * KIB);
         assert!(t > 0.0);
     }
 

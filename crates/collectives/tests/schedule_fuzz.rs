@@ -10,6 +10,7 @@
 //! orderings and compared bit-for-bit against the unfuzzed baseline.
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
+use cpm_collectives::measure;
 use cpm_collectives::{
     binomial_bcast, binomial_gather, binomial_reduce, binomial_scatter, linear_alltoall,
     linear_bcast, linear_gather, linear_reduce, linear_scatter, ring_allgather,
@@ -17,6 +18,7 @@ use cpm_collectives::{
 };
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
+use cpm_models::GatherEmpirics;
 use cpm_netsim::{simulate_traced, SimCluster, TraceEvent};
 use cpm_vmpi::Comm;
 use proptest::prelude::*;
@@ -99,6 +101,45 @@ proptest! {
             prop_assert_eq!(
                 b2, bytes,
                 "algorithm {} under fuzz seed {}: delivered bytes changed",
+                which, fuzz_seed
+            );
+        }
+    }
+
+    /// The scripted observation harness (`measure::*_times`) is just as
+    /// tie-order independent: 16 fuzzed orderings reproduce the unfuzzed
+    /// per-repetition completion times bit for bit.
+    #[test]
+    fn fuzzed_tie_orders_never_change_measured_times(
+        n in 2usize..9,
+        m in 1u64..140_000,
+        root_seed in 0usize..8,
+        which in 0u8..5,
+    ) {
+        let root = Rank::from(root_seed % n);
+        let measured = |cl: &SimCluster| {
+            let empirics = GatherEmpirics {
+                m1: 4096,
+                m2: 65 * 1024,
+                escalation_probability: 0.5,
+                escalation_magnitude: 0.2,
+                escalation_prob_knots: Vec::new(),
+            };
+            match which {
+                0 => measure::linear_scatter_times(cl, root, m, 3, 11),
+                1 => measure::binomial_scatter_times(cl, root, m, 3, 11),
+                2 => measure::linear_gather_times(cl, root, m, 3, 11),
+                3 => measure::binomial_gather_times(cl, root, m, 3, 11),
+                _ => measure::optimized_gather_times(cl, root, m, &empirics, 3, 11),
+            }
+            .unwrap()
+        };
+        let base = measured(&cluster(n, 5));
+        for fuzz_seed in 0..16u64 {
+            let fuzzed = measured(&cluster(n, 5).with_schedule_fuzz(fuzz_seed));
+            prop_assert_eq!(
+                &fuzzed, &base,
+                "measured collective {} under fuzz seed {}: times changed",
                 which, fuzz_seed
             );
         }

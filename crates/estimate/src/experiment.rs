@@ -1,17 +1,20 @@
 //! The communication experiments.
 //!
-//! Every experiment is an SPMD program over the simulated MPI layer,
-//! measured on the sender/root side with barrier-separated repetitions —
-//! the timing method the paper recommends as "fast and quite accurate for
-//! collective operations on a small number of processors". Experiments on
-//! non-overlapping units (pairs/triplets) can share one simulation run; on
-//! a single switch this does not perturb the measurements.
+//! Every experiment is a set of straight-line per-rank scripts run
+//! through the simulator's threadless path, measured on the sender/root
+//! side with barrier-separated repetitions — the timing method the paper
+//! recommends as "fast and quite accurate for collective operations on a
+//! small number of processors". Each repetition is a barrier followed by
+//! the rank's ops; a sample is "wtime after the barrier → wtime after the
+//! last timed op", exactly what a threaded rank would read. Experiments on
+//! non-overlapping units (pairs/triplets) share one simulation run; on a
+//! single switch this does not perturb the measurements.
 
-use cpm_core::error::Result;
+use cpm_core::error::{CpmError, Result};
 use cpm_core::rank::{Pair, Rank, Triplet};
 use cpm_core::units::Bytes;
 use cpm_netsim::SimCluster;
-use cpm_vmpi::run;
+use cpm_vmpi::{pair_roles, run_timed_program, TimedScript};
 
 /// Measurements of one roundtrip unit.
 #[derive(Clone, Debug)]
@@ -34,8 +37,12 @@ pub struct TripletSample {
 }
 
 /// Runs `reps` roundtrips (`m_out` bytes out, `m_back` bytes back) on every
-/// pair of `units` simultaneously. Pairs must be disjoint. Returns the
-/// samples and the virtual time the run consumed.
+/// pair of `units` simultaneously. Returns the samples and the virtual
+/// time the run consumed.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when the pairs overlap or name a
+/// rank outside the cluster.
 pub fn roundtrip_round(
     cluster: &SimCluster,
     units: &[Pair],
@@ -44,48 +51,52 @@ pub fn roundtrip_round(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<PairSample>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let role = pair_roles(cluster.n(), units);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            match role[me.idx()] {
-                Some((peer, true)) => {
-                    let t0 = c.wtime();
-                    c.send(peer, m_out);
-                    let _ = c.recv(peer);
-                    times.push(c.wtime() - t0);
+    let scripts = pair_roles(cluster.n(), units)?
+        .into_iter()
+        .map(|role| {
+            let mut s = TimedScript::default();
+            for _ in 0..reps {
+                let t0 = s.barrier();
+                match role {
+                    Some((peer, true)) => {
+                        s.send(peer, m_out);
+                        s.recv(peer);
+                        s.sample_since(t0);
+                    }
+                    Some((peer, false)) => {
+                        s.recv(peer);
+                        s.send(peer, m_back);
+                    }
+                    None => {}
                 }
-                Some((peer, false)) => {
-                    let _ = c.recv(peer);
-                    c.send(peer, m_back);
-                }
-                None => {}
             }
-        }
-        times
-    })?;
+            s
+        })
+        .collect();
+    let (mut times, end) = run_timed_program(&cluster.reseeded(seed), scripts)?;
     let samples = units
         .iter()
         .map(|p| PairSample {
             pair: *p,
-            t: out.results[p.a.idx()].clone(),
+            t: std::mem::take(&mut times[p.a.idx()]),
         })
         .collect();
-    Ok((samples, out.end_time))
+    Ok((samples, end))
 }
 
 /// Runs `reps` one-to-two experiments (root sends `m_out` to both children,
 /// children reply `m_back`) on every triplet of `units` simultaneously,
-/// once per choice of root (three phases). Triplets must be disjoint.
+/// once per choice of root (three phases).
 ///
 /// `order` decides which child the root serves first. The estimation
 /// equations (paper eqs. (6)–(11)) assume the *slowest* child both
 /// dominates the maximum and absorbs the root's send serialization, so the
 /// LMO estimator passes an ordering that sends to the faster child first;
 /// `None` uses canonical member order.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when the triplets overlap or name a
+/// rank outside the cluster.
 pub fn one_to_two_round(
     cluster: &SimCluster,
     units: &[Triplet],
@@ -95,66 +106,74 @@ pub fn one_to_two_round(
     seed: u64,
     order: Option<&(dyn Fn(Triplet, Rank) -> [Rank; 2] + Sync)>,
 ) -> Result<(Vec<TripletSample>, f64)> {
-    let cl = cluster.reseeded(seed);
     let n = cluster.n();
-    // role[phase][rank] = (root, [children]) membership.
-    let mut membership: Vec<Option<(usize, Triplet)>> = vec![None; n];
+    let mut membership: Vec<Option<Triplet>> = vec![None; n];
     for t in units {
         for m in t.members() {
-            debug_assert!(membership[m.idx()].is_none(), "triplets must be disjoint");
-            membership[m.idx()] = Some((0, *t));
-        }
-    }
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        // `phase` is simultaneously the index into `times` and the root
-        // selector — an iterator would obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for phase in 0..3usize {
-            for _ in 0..reps {
-                c.barrier();
-                let Some((_, t)) = membership[me.idx()] else {
-                    continue;
-                };
-                let root = t.members()[phase];
-                if me == root {
-                    let [x, y] = match order {
-                        Some(f) => f(t, root),
-                        None => t.others(root),
-                    };
-                    let t0 = c.wtime();
-                    c.send(x, m_out);
-                    c.send(y, m_out);
-                    let _ = c.recv(x);
-                    let _ = c.recv(y);
-                    times[phase].push(c.wtime() - t0);
-                } else {
-                    let _ = c.recv(root);
-                    c.send(root, m_back);
+            match membership.get_mut(m.idx()) {
+                None => return Err(out_of_range(m, n)),
+                Some(Some(_)) => {
+                    return Err(CpmError::InvalidConfig(format!(
+                        "triplets must be disjoint: rank {m} is in more than one"
+                    )))
                 }
+                Some(slot) => *slot = Some(*t),
             }
         }
-        times
-    })?;
-    let mut samples = Vec::with_capacity(units.len() * 3);
-    for t in units {
-        for phase in 0..3usize {
-            let root = t.members()[phase];
-            samples.push(TripletSample {
-                triplet: *t,
-                root,
-                t: out.results[root.idx()][phase].clone(),
-            });
-        }
     }
-    Ok((samples, out.end_time))
+    // Each member is the root of exactly one phase, so its samples are
+    // that phase's `reps` roundtrips.
+    let scripts = membership
+        .iter()
+        .enumerate()
+        .map(|(me, unit)| {
+            let me = Rank::from(me);
+            let mut s = TimedScript::default();
+            for phase in 0..3 {
+                for _ in 0..reps {
+                    let t0 = s.barrier();
+                    let Some(t) = unit else { continue };
+                    let root = t.members()[phase];
+                    if me == root {
+                        let [x, y] = match order {
+                            Some(f) => f(*t, root),
+                            None => t.others(root),
+                        };
+                        s.send(x, m_out);
+                        s.send(y, m_out);
+                        s.recv(x);
+                        s.recv(y);
+                        s.sample_since(t0);
+                    } else {
+                        s.recv(root);
+                        s.send(root, m_back);
+                    }
+                }
+            }
+            s
+        })
+        .collect();
+    let (mut times, end) = run_timed_program(&cluster.reseeded(seed), scripts)?;
+    let samples = units
+        .iter()
+        .flat_map(|t| t.members().map(|root| (t, root)))
+        .map(|(t, root)| TripletSample {
+            triplet: *t,
+            root,
+            t: std::mem::take(&mut times[root.idx()]),
+        })
+        .collect();
+    Ok((samples, end))
 }
 
 /// Saturation experiment: `count` back-to-back sends of `m` bytes from `i`
 /// to `j`, then an empty acknowledgement. Returns per-repetition total
 /// times measured on `i` (from the first send to the ack) and the virtual
 /// cost.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] unless `i` and `j` are two distinct
+/// ranks of the cluster.
 pub fn saturation(
     cluster: &SimCluster,
     i: Rank,
@@ -165,33 +184,31 @@ pub fn saturation(
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
     assert!(count >= 1, "saturation needs at least one message");
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
+    run_on_root(cluster, i, seed, |s, me| {
         for _ in 0..reps {
-            c.barrier();
+            let t0 = s.barrier();
             if me == i {
-                let t0 = c.wtime();
                 for _ in 0..count {
-                    c.send(j, m);
+                    s.send(j, m);
                 }
-                let _ = c.recv(j);
-                times.push(c.wtime() - t0);
+                s.recv(j);
+                s.sample_since(t0);
             } else if me == j {
                 for _ in 0..count {
-                    let _ = c.recv(i);
+                    s.recv(i);
                 }
-                c.send(i, 0);
+                s.send(i, 0);
             }
         }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    })
 }
 
 /// Send-overhead probe (`o_s`): the duration of the blocking send itself,
 /// inside a roundtrip with an empty reply.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] unless `i` and `j` are two distinct
+/// ranks of the cluster.
 pub fn send_probe(
     cluster: &SimCluster,
     i: Rank,
@@ -200,25 +217,19 @@ pub fn send_probe(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
+    run_on_root(cluster, i, seed, |s, me| {
         for _ in 0..reps {
-            c.barrier();
+            let t0 = s.barrier();
             if me == i {
-                let t0 = c.wtime();
-                c.send(j, m);
-                times.push(c.wtime() - t0);
-                let _ = c.recv(j);
+                s.send(j, m);
+                s.sample_since(t0);
+                s.recv(j);
             } else if me == j {
-                let _ = c.recv(i);
-                c.send(i, 0);
+                s.recv(i);
+                s.send(i, 0);
             }
         }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    })
 }
 
 /// Receive-overhead probe (`o_r`): send, wait long enough for the reply to
@@ -229,6 +240,10 @@ pub fn send_probe(
 /// equivalent to zero-copy reception. It is kept because the estimation
 /// procedure of the paper calls for it; the LogP-family estimators fold it
 /// in unchanged.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] unless `i` and `j` are two distinct
+/// ranks of the cluster.
 pub fn delayed_recv_probe(
     cluster: &SimCluster,
     i: Rank,
@@ -238,30 +253,27 @@ pub fn delayed_recv_probe(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
+    run_on_root(cluster, i, seed, |s, me| {
         for _ in 0..reps {
-            c.barrier();
+            s.barrier();
             if me == i {
-                c.send(j, m);
-                c.compute(wait);
-                let t0 = c.wtime();
-                let _ = c.recv(j);
-                times.push(c.wtime() - t0);
+                s.send(j, m);
+                let t0 = s.compute(wait);
+                s.recv(j);
+                s.sample_since(t0);
             } else if me == j {
-                let _ = c.recv(i);
-                c.send(i, m);
+                s.recv(i);
+                s.send(i, m);
             }
         }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    })
 }
 
 /// Linear gather observation: the root receives `m` bytes from everyone.
 /// Returns root-side times, one per repetition.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when `root` is outside the cluster.
 pub fn gather_observation(
     cluster: &SimCluster,
     root: Rank,
@@ -269,41 +281,49 @@ pub fn gather_observation(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let n = c.size();
-        let mut times = Vec::new();
+    let n = cluster.n();
+    run_on_root(cluster, root, seed, |s, me| {
         for _ in 0..reps {
-            c.barrier();
+            let t0 = s.barrier();
             if me == root {
-                let t0 = c.wtime();
-                for k in 0..n {
-                    if k != root.idx() {
-                        let _ = c.recv(Rank::from(k));
-                    }
+                for k in (0..n).filter(|&k| k != root.idx()) {
+                    s.recv(Rank::from(k));
                 }
-                times.push(c.wtime() - t0);
+                s.sample_since(t0);
             } else {
-                c.send(root, m);
+                s.send(root, m);
             }
         }
-        times
-    })?;
-    Ok((out.results[root.idx()].clone(), out.end_time))
+    })
 }
 
-fn pair_roles(n: usize, units: &[Pair]) -> Vec<Option<(Rank, bool)>> {
-    let mut role: Vec<Option<(Rank, bool)>> = vec![None; n];
-    for p in units {
-        debug_assert!(
-            role[p.a.idx()].is_none() && role[p.b.idx()].is_none(),
-            "pairs must be disjoint"
-        );
-        role[p.a.idx()] = Some((p.b, true));
-        role[p.b.idx()] = Some((p.a, false));
+/// Builds every rank's script with `build(script, rank)`, runs them and
+/// returns the samples `timed` recorded plus the run's virtual cost.
+/// Scripts that name the same rank at both ends, or a rank outside the
+/// cluster, are refused by [`run_timed_program`].
+fn run_on_root(
+    cluster: &SimCluster,
+    timed: Rank,
+    seed: u64,
+    build: impl Fn(&mut TimedScript, Rank),
+) -> Result<(Vec<f64>, f64)> {
+    let n = cluster.n();
+    if timed.idx() >= n {
+        return Err(out_of_range(timed, n));
     }
-    role
+    let scripts = (0..n)
+        .map(|r| {
+            let mut s = TimedScript::default();
+            build(&mut s, Rank::from(r));
+            s
+        })
+        .collect();
+    let (mut times, end) = run_timed_program(&cluster.reseeded(seed), scripts)?;
+    Ok((std::mem::take(&mut times[timed.idx()]), end))
+}
+
+fn out_of_range(r: Rank, n: usize) -> CpmError {
+    CpmError::InvalidConfig(format!("rank {r} out of range for {n} nodes"))
 }
 
 #[cfg(test)]
@@ -382,6 +402,46 @@ mod tests {
             "{} not in [{lower}, {upper})",
             s0.t[0]
         );
+    }
+
+    #[test]
+    fn overlapping_pairs_are_an_error_not_a_silent_overwrite() {
+        let cl = cluster(16);
+        let units = [Pair::new(Rank(0), Rank(1)), Pair::new(Rank(1), Rank(2))];
+        let err = roundtrip_round(&cl, &units, KIB, KIB, 1, 1).unwrap_err();
+        assert!(matches!(err, CpmError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("rank 1"), "{err}");
+        let err =
+            roundtrip_round(&cl, &[Pair::new(Rank(3), Rank(16))], KIB, KIB, 1, 1).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn overlapping_triplets_are_an_error_not_a_silent_overwrite() {
+        let cl = cluster(16);
+        let units = [
+            Triplet::new(Rank(0), Rank(1), Rank(2)),
+            Triplet::new(Rank(2), Rank(3), Rank(4)),
+        ];
+        let err = one_to_two_round(&cl, &units, 0, 0, 1, 4, None).unwrap_err();
+        assert!(matches!(err, CpmError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("rank 2"), "{err}");
+        let far = [Triplet::new(Rank(0), Rank(1), Rank(20))];
+        let err = one_to_two_round(&cl, &far, 0, 0, 1, 4, None).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn probes_reject_degenerate_rank_choices() {
+        let cl = cluster(16);
+        for err in [
+            saturation(&cl, Rank(2), Rank(2), KIB, 1, 1, 1).unwrap_err(),
+            send_probe(&cl, Rank(0), Rank(16), KIB, 1, 1).unwrap_err(),
+            delayed_recv_probe(&cl, Rank(16), Rank(0), KIB, 0.1, 1, 1).unwrap_err(),
+            gather_observation(&cl, Rank(16), KIB, 1, 1).unwrap_err(),
+        ] {
+            assert!(matches!(err, CpmError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

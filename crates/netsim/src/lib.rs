@@ -36,11 +36,26 @@
 //!
 //! ## Programming model
 //!
-//! Rank programs are ordinary Rust closures run on dedicated OS threads and
-//! scheduled *one at a time* by the kernel in virtual-time order, so every
-//! simulation is deterministic for a given seed regardless of host
-//! scheduling. The [`proc::Proc`] handle exposes an MPI-flavoured API
-//! (`send`, `recv`, `now`, `compute`, `barrier`).
+//! A rank runs in one of two ways, with identical event semantics and
+//! therefore bit-identical virtual timings:
+//!
+//! * **Scripts** ([`run_script`]) — a straight-line [`ScriptOp`] sequence
+//!   per rank (`Send`, `Recv`, `Compute`, `Barrier`) that the kernel
+//!   interprets inside its event loop: no threads, no channels. Per-op
+//!   `(start, end)` windows in the [`ScriptOutcome`] stand in for
+//!   `MPI_Wtime` readings. Everything on the paper's measurement path runs
+//!   this way — the estimation experiments, the observed scatter and
+//!   gather collectives, the drift probe — as does workload replay.
+//! * **Closures** ([`simulate`]) — ordinary Rust closures run on dedicated
+//!   OS threads and scheduled *one at a time* by the kernel in
+//!   virtual-time order, so every simulation is deterministic for a given
+//!   seed regardless of host scheduling. The [`proc::Proc`] handle exposes
+//!   an MPI-flavoured API (`send`, `recv`, `now`, `compute`, `barrier`,
+//!   plus tagged, any-source and nonblocking variants). Each syscall is a
+//!   channel round-trip and a context switch, which costs an order of
+//!   magnitude more host time than a script op; the remaining collectives
+//!   (broadcast, allgather, alltoall, reduce, scatterv, hierarchical) still
+//!   run this way.
 //!
 //! ```
 //! use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};

@@ -3,13 +3,16 @@
 //! The thread-based programming model ([`crate::simulate`]) spawns one OS
 //! thread per rank and round-trips a channel per syscall — perfect for
 //! expressing arbitrary algorithms, but the context switches cap it at a
-//! few hundred ranks. Workload replay doesn't need arbitrary code: after
-//! lowering, every rank is a straight-line sequence of send/recv/compute/
-//! barrier primitives. [`run_script`] interprets such sequences directly
-//! inside the kernel's event loop — no threads, no channels, no per-event
-//! allocation — with *identical* event semantics and therefore identical
-//! virtual timings. This is what makes 1000-rank replay a subsecond
-//! operation instead of a thread-pool stress test.
+//! few hundred ranks and dominate the host time of small runs. Static
+//! schedules don't need arbitrary code: a lowered workload trace, an
+//! estimation experiment or a scatter/gather schedule is, per rank, a
+//! straight-line sequence of send/recv/compute/barrier primitives.
+//! [`run_script`] interprets such sequences directly inside the kernel's
+//! event loop — no threads, no channels, no per-event allocation — with
+//! *identical* event semantics and therefore identical virtual timings.
+//! This is what makes 1000-rank replay a subsecond operation instead of a
+//! thread-pool stress test, and a cold 16-node estimate a matter of
+//! milliseconds.
 
 use cpm_core::error::Result;
 use cpm_core::rank::Rank;
@@ -33,8 +36,9 @@ pub enum ScriptOp {
         /// Message size in bytes.
         bytes: Bytes,
     },
-    /// Blocking receive of the next message from `src` (any tag), exactly
-    /// like [`crate::Proc::recv`].
+    /// Blocking receive of the next message from `src`, matching any tag.
+    /// Scripts only send tag 0, so within a scripted run this receives
+    /// exactly what [`crate::Proc::recv`] (tag 0 only) would.
     Recv {
         /// Source rank to match.
         src: Rank,

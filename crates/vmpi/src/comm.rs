@@ -2,7 +2,7 @@
 
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
-use cpm_netsim::{MsgView, Proc, Tag};
+use cpm_netsim::{MsgView, Proc, ScriptOp, Tag};
 
 /// An MPI-like communicator bound to one simulated process.
 ///
@@ -96,6 +96,23 @@ impl<'p> Comm<'p> {
     /// Zero-cost benchmark barrier across all ranks.
     pub fn barrier(&mut self) {
         self.proc_.barrier();
+    }
+
+    /// Replays a straight-line script on this rank, each op as the
+    /// blocking call of the same name — how a collective defined once as a
+    /// per-rank lowering also runs inside an arbitrary threaded program.
+    /// Scripts send only tag 0, so a `Recv` here is [`Comm::recv`].
+    pub fn run_ops(&mut self, ops: &[ScriptOp]) {
+        for op in ops {
+            match *op {
+                ScriptOp::Send { dst, bytes } => self.send(dst, bytes),
+                ScriptOp::Recv { src } => {
+                    let _ = self.recv(src);
+                }
+                ScriptOp::Compute { secs } => self.compute(secs),
+                ScriptOp::Barrier => self.barrier(),
+            }
+        }
     }
 
     /// The benchmark loop of the paper's methodology: `reps` repetitions of

@@ -24,6 +24,9 @@ pub mod timing;
 
 pub use comm::Comm;
 pub use cpm_netsim::{DesEventCounts, ScriptOp, ScriptOutcome, Trace};
-pub use probe::one_way_times;
-pub use runner::{run, run_program, run_program_traced, run_timed, run_timed_max, RunOutput};
+pub use probe::{one_way_times, pair_roles};
+pub use runner::{
+    run, run_program, run_program_traced, run_timed, run_timed_max, run_timed_program, RunOutput,
+    TimedScript,
+};
 pub use timing::{measure_with_method, TimingMethod};

@@ -8,20 +8,49 @@
 //! `C_i + M·t_i + L_ij + M/β_ij + C_j + M·t_j` — no halving, no
 //! asymmetry assumption.
 
-use cpm_core::error::Result;
+use cpm_core::error::{CpmError, Result};
 use cpm_core::rank::{Pair, Rank};
 use cpm_core::units::Bytes;
 use cpm_netsim::SimCluster;
 
-use crate::runner::run;
+use crate::runner::{run_timed_program, TimedScript};
 
 /// Per-pair repetition series of one-way times, in `units` order.
 pub type OneWaySamples = Vec<(Pair, Vec<f64>)>;
 
+/// Each rank's role when the pairs of `units` run in one simulation:
+/// `(peer, true)` for the pair's first member `a`, `(peer, false)` for `b`,
+/// `None` for ranks outside every pair.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when a rank is out of range or the
+/// pairs overlap — a rank can play only one role per run.
+pub fn pair_roles(n: usize, units: &[Pair]) -> Result<Vec<Option<(Rank, bool)>>> {
+    let mut role: Vec<Option<(Rank, bool)>> = vec![None; n];
+    for p in units {
+        for (me, peer, first) in [(p.a, p.b, true), (p.b, p.a, false)] {
+            let slot = role.get_mut(me.idx()).ok_or_else(|| {
+                CpmError::InvalidConfig(format!("rank {me} out of range for {n} nodes"))
+            })?;
+            if slot.is_some() {
+                return Err(CpmError::InvalidConfig(format!(
+                    "pairs must be disjoint: rank {me} is in more than one"
+                )));
+            }
+            *slot = Some((peer, first));
+        }
+    }
+    Ok(role)
+}
+
 /// Measures `reps` one-way transfers of `m` bytes (`a → b`) on every pair
-/// of `units` simultaneously. Pairs must be disjoint. Times are measured
-/// on the *receiver* side, from barrier release to receive completion.
-/// Returns per-pair repetition series and the virtual time consumed.
+/// of `units` simultaneously. Times are measured on the *receiver* side,
+/// from barrier release to receive completion. Returns per-pair repetition
+/// series and the virtual time consumed.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when the pairs overlap or name a
+/// rank outside the cluster.
 pub fn one_way_times(
     cluster: &SimCluster,
     units: &[Pair],
@@ -29,40 +58,32 @@ pub fn one_way_times(
     reps: usize,
     seed: u64,
 ) -> Result<(OneWaySamples, f64)> {
-    let cl = cluster.reseeded(seed);
-    let n = cluster.n();
-    // role[rank] = (peer, is_sender).
-    let mut role: Vec<Option<(Rank, bool)>> = vec![None; n];
-    for p in units {
-        debug_assert!(
-            role[p.a.idx()].is_none() && role[p.b.idx()].is_none(),
-            "pairs must be disjoint"
-        );
-        role[p.a.idx()] = Some((p.b, true));
-        role[p.b.idx()] = Some((p.a, false));
-    }
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            match role[me.idx()] {
-                Some((peer, true)) => c.send(peer, m),
-                Some((peer, false)) => {
-                    let t0 = c.wtime();
-                    let _ = c.recv(peer);
-                    times.push(c.wtime() - t0);
+    let scripts = pair_roles(cluster.n(), units)?
+        .into_iter()
+        .map(|role| {
+            let mut s = TimedScript::default();
+            for _ in 0..reps {
+                let t0 = s.barrier();
+                match role {
+                    Some((peer, true)) => {
+                        s.send(peer, m);
+                    }
+                    Some((peer, false)) => {
+                        s.recv(peer);
+                        s.sample_since(t0);
+                    }
+                    None => {}
                 }
-                None => {}
             }
-        }
-        times
-    })?;
+            s
+        })
+        .collect();
+    let (mut times, end) = run_timed_program(&cluster.reseeded(seed), scripts)?;
     let samples = units
         .iter()
-        .map(|p| (*p, out.results[p.b.idx()].clone()))
+        .map(|p| (*p, std::mem::take(&mut times[p.b.idx()])))
         .collect();
-    Ok((samples, out.end_time))
+    Ok((samples, end))
 }
 
 #[cfg(test)]
@@ -84,5 +105,18 @@ mod tests {
                 assert!((t - want).abs() < 1e-12, "{pair:?}: {t} vs {want}");
             }
         }
+    }
+
+    #[test]
+    fn overlapping_pairs_are_rejected() {
+        let truth = GroundTruth::synthesize(&ClusterSpec::homogeneous(4), 7);
+        let cl = SimCluster::new(truth, MpiProfile::ideal(), 0.0, 7);
+        let pairs = [Pair::new(Rank(0), Rank(1)), Pair::new(Rank(1), Rank(2))];
+        let err = one_way_times(&cl, &pairs, 1024, 1, 5).unwrap_err();
+        assert!(matches!(err, CpmError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("rank 1"), "{err}");
+        let out_of_range = [Pair::new(Rank(0), Rank(4))];
+        let err = one_way_times(&cl, &out_of_range, 1024, 1, 5).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 }

@@ -1,7 +1,8 @@
 //! Entry points for simulated MPI programs.
 
-use cpm_core::error::Result;
+use cpm_core::error::{CpmError, Result};
 use cpm_core::rank::Rank;
+use cpm_core::units::Bytes;
 use cpm_netsim::{
     run_script, run_script_traced, simulate, ScriptOp, ScriptOutcome, SimCluster, SimStats,
 };
@@ -60,6 +61,109 @@ pub fn run_program_traced(
     programs: &[Vec<ScriptOp>],
 ) -> Result<ScriptOutcome> {
     run_script_traced(cluster, programs)
+}
+
+/// One rank's straight-line script together with the intervals it times —
+/// the script form of `let t0 = c.wtime(); …; times.push(c.wtime() - t0)`.
+///
+/// Every builder method appends one op and returns its index, a *mark*:
+/// "wtime after op `a`". A sample from mark `a` to the last op appended is
+/// `windows[b].1 - windows[a].1` of the run's [`ScriptOutcome`] — the same
+/// virtual times a threaded rank reads from [`Comm::wtime`], so the
+/// samples are bit-identical to the threaded program's.
+#[derive(Clone, Debug, Default)]
+pub struct TimedScript {
+    ops: Vec<ScriptOp>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl TimedScript {
+    fn op(&mut self, op: ScriptOp) -> usize {
+        self.ops.push(op);
+        self.ops.len() - 1
+    }
+
+    /// Appends a global barrier ([`Comm::barrier`]).
+    pub fn barrier(&mut self) -> usize {
+        self.op(ScriptOp::Barrier)
+    }
+
+    /// Appends a blocking send ([`Comm::send`]).
+    pub fn send(&mut self, dst: Rank, bytes: Bytes) -> usize {
+        self.op(ScriptOp::Send { dst, bytes })
+    }
+
+    /// Appends a blocking receive ([`Comm::recv`]).
+    pub fn recv(&mut self, src: Rank) -> usize {
+        self.op(ScriptOp::Recv { src })
+    }
+
+    /// Appends local computation ([`Comm::compute`]).
+    pub fn compute(&mut self, secs: f64) -> usize {
+        self.op(ScriptOp::Compute { secs })
+    }
+
+    /// Appends a whole straight-line program, e.g. one collective's
+    /// per-rank lowering.
+    pub fn ops(&mut self, ops: &[ScriptOp]) {
+        self.ops.extend_from_slice(ops);
+    }
+
+    /// Records one sample: from `mark` to after the last op appended so
+    /// far (0 when nothing was appended since `mark`).
+    ///
+    /// # Panics
+    /// Panics when no op precedes the sample or `mark` is not one.
+    pub fn sample_since(&mut self, mark: usize) {
+        let end = self
+            .ops
+            .len()
+            .checked_sub(1)
+            .expect("a mark precedes the sample");
+        assert!(mark <= end, "mark {mark} is not an op of this script");
+        self.spans.push((mark, end));
+    }
+}
+
+/// Runs one [`TimedScript`] per rank through [`run_program`] and reads each
+/// rank's samples off the op windows. Returns per-rank samples, in the
+/// order each rank recorded them, and the virtual time the run consumed.
+///
+/// # Errors
+/// Returns [`CpmError::InvalidConfig`] when there is not one script per
+/// rank, or a script sends to or receives from itself or a rank outside
+/// the cluster — what [`Comm`]'s point-to-point calls refuse — and a
+/// simulation error on deadlock.
+pub fn run_timed_program(
+    cluster: &SimCluster,
+    scripts: Vec<TimedScript>,
+) -> Result<(Vec<Vec<f64>>, f64)> {
+    let n = cluster.n();
+    if scripts.len() != n {
+        return Err(CpmError::InvalidConfig(format!(
+            "{} scripts for {n} ranks",
+            scripts.len()
+        )));
+    }
+    for (me, s) in scripts.iter().enumerate() {
+        for op in &s.ops {
+            if let ScriptOp::Send { dst: peer, .. } | ScriptOp::Recv { src: peer } = *op {
+                if peer.idx() == me || peer.idx() >= n {
+                    return Err(CpmError::InvalidConfig(format!(
+                        "rank {me} cannot exchange messages with rank {peer} of {n}"
+                    )));
+                }
+            }
+        }
+    }
+    let (programs, spans): (Vec<_>, Vec<_>) = scripts.into_iter().map(|s| (s.ops, s.spans)).unzip();
+    let out = run_program(cluster, &programs)?;
+    let samples = spans
+        .iter()
+        .zip(&out.windows)
+        .map(|(spans, w)| spans.iter().map(|&(a, b)| w[b].1 - w[a].1).collect())
+        .collect();
+    Ok((samples, out.end_time))
 }
 
 /// Runs a *timed experiment*: every rank executes `op` `reps` times with
@@ -162,6 +266,29 @@ mod tests {
         assert!(maxes[0] > root_only[0], "{} vs {}", maxes[0], root_only[0]);
         let tx = truth.c[0] + 4096.0 * truth.t[0];
         assert!(maxes[0] > 2.0 * tx);
+    }
+
+    #[test]
+    fn timed_scripts_read_wtime_intervals_and_reject_bad_peers() {
+        let cl = cluster(3);
+        let mut scripts = vec![TimedScript::default(); 3];
+        let t0 = scripts[0].barrier();
+        scripts[0].compute(0.25);
+        scripts[0].sample_since(t0);
+        scripts[0].sample_since(t0 + 1);
+        scripts[1].barrier();
+        scripts[2].barrier();
+        let (samples, end) = run_timed_program(&cl, scripts.clone()).unwrap();
+        assert_eq!(samples, vec![vec![0.25, 0.0], vec![], vec![]]);
+        assert_eq!(end, 0.25);
+
+        scripts[1].send(Rank(1), 8);
+        let err = run_timed_program(&cl, scripts.clone()).unwrap_err();
+        assert!(matches!(err, CpmError::InvalidConfig(_)), "{err}");
+        scripts[1] = TimedScript::default();
+        scripts[1].recv(Rank(3));
+        assert!(run_timed_program(&cl, scripts).is_err());
+        assert!(run_timed_program(&cl, vec![TimedScript::default()]).is_err());
     }
 
     #[test]
