@@ -34,7 +34,7 @@ cargo bench -p cpm-bench --bench workload -- --test
 echo "== flight-recorder bench (smoke + <100ns/record gate)"
 cargo bench -p cpm-bench --bench obs -- --test
 
-echo "== DES engine tests (calendar queue, pooled events, schedule fuzzing, script parity)"
+echo "== DES engine tests (binary-heap engine, schedule fuzzing, script parity)"
 cargo test -p cpm-des -q
 cargo test -p cpm-workload --test determinism -q
 cargo test -p cpm-collectives --test schedule_fuzz -q

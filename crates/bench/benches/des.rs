@@ -2,10 +2,11 @@
 //!
 //! Two properties make high-fidelity planning affordable enough to serve:
 //!
-//! 1. the calendar-queue engine schedules and fires events in O(1)
-//!    amortized on the banded timestamp distributions simulations
-//!    produce, recycling payload slots so a steady-state run allocates
-//!    nothing per event;
+//! 1. the binary-heap engine schedules and fires events in O(log n) on
+//!    any timestamp distribution — the banded `u64` ticks of a long
+//!    replay and the small `f64`-second queues of an estimation run
+//!    alike — and its storage stops growing at the peak number of
+//!    pending events, so a steady-state run allocates nothing per event;
 //! 2. the threadless script path replays a 1000-rank canonical workload
 //!    in seconds, not minutes — the CI-gated budget below.
 
@@ -15,7 +16,7 @@ use std::time::Instant;
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
 use cpm_core::rank::Rank;
-use cpm_des::Engine;
+use cpm_des::{Engine, Seconds};
 use cpm_netsim::SimCluster;
 use cpm_vmpi::{run_program, ScriptOp};
 use cpm_workload::{gen, replay, truth_choices};
@@ -42,13 +43,28 @@ fn bench_engine(c: &mut Criterion) {
             eng.schedule(now + 64 + (v % 7), black_box(v));
         });
     });
+    // The shape an estimation run produces: a handful of pending events
+    // keyed by f64 seconds (bit-pattern ticks), starting at 0 and
+    // advancing by about 10 µs per event.
+    g.bench_function("schedule_pop_seconds_small", |b| {
+        let mut eng: Engine<Seconds, u64> = Engine::new();
+        for i in 0..16u64 {
+            eng.schedule(Seconds::new(i as f64 * 1e-5), i);
+        }
+        b.iter(|| {
+            let (now, v) = eng.pop().unwrap();
+            let step = 1e-5 * (1.0 + (v % 5) as f64 * 0.25);
+            eng.schedule(Seconds::new(now.secs() + 16.0 * step), black_box(v));
+        });
+    });
     g.finish();
 }
 
 fn engine_steady_state_allocates_no_slots() {
-    // The pooled allocator gate: one slot per *concurrently pending*
-    // event, recycled forever. A million schedule/pop cycles over 64
-    // outstanding events must never grow the pool past 64.
+    // The no-allocation gate: the heap holds one entry per *concurrently
+    // pending* event and reuses its storage forever. A million
+    // schedule/pop cycles over 64 outstanding events must never push
+    // the peak past 64.
     let mut eng: Engine<u64, u64> = Engine::new();
     for i in 0..64u64 {
         eng.schedule(i, i);
@@ -60,7 +76,7 @@ fn engine_steady_state_allocates_no_slots() {
     let stats = eng.stats();
     assert_eq!(
         stats.pool_slots, 64,
-        "steady-state engine must recycle payload slots, not allocate: \
+        "steady-state engine must reuse its storage, not allocate: \
          {} slots for 64 outstanding events",
         stats.pool_slots
     );

@@ -1,19 +1,12 @@
-//! The engine facade: pooled payloads, the calendar queue with its heap
-//! fallback, and deterministic (optionally fuzzed) tie-breaking, with
-//! counters downstream crates export through the metrics registry.
+//! The engine facade: one binary min-heap of `(ticks, fuzz, seq)`-keyed
+//! entries with their payloads inline, deterministic (optionally fuzzed)
+//! tie-breaking, and counters downstream crates export through the
+//! metrics registry.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::{Calendar, Entry};
 use crate::key::DesTime;
-use crate::pool::Pool;
-
-/// How many pops to observe between fallback-decision checkpoints.
-const FALLBACK_WINDOW: u64 = 4096;
-/// Mean buckets scanned per pop above which the calendar has lost its
-/// O(1) behaviour and the heap takes over.
-const FALLBACK_SCAN_LIMIT: f64 = 24.0;
 
 /// Counters describing an engine's life so far. Snapshot via
 /// [`Engine::stats`]; downstream crates fold these into
@@ -24,21 +17,51 @@ pub struct EngineStats {
     pub scheduled: u64,
     /// Events ever popped (fired).
     pub fired: u64,
-    /// Maximum number of simultaneously pending events — also the exact
-    /// number of payload slots allocated, since slots are pooled.
+    /// Peak number of concurrently pending events — also the heap's
+    /// peak length, and its storage never shrinks, so a steady-state
+    /// schedule/pop cycle below this mark allocates nothing.
     pub pool_slots: usize,
-    /// Calendar sweeps that missed a whole year and fell back to a
-    /// direct min-search across bucket fronts.
-    pub direct_searches: u64,
-    /// Calendar bucket-array rebuilds.
-    pub resizes: u64,
-    /// Whether the engine abandoned the calendar for the binary heap.
-    pub heap_fallback: bool,
 }
 
-enum Sched {
-    Calendar(Calendar),
-    Heap(BinaryHeap<Reverse<Entry>>),
+/// One queued event: its total-order key plus the payload. Ordering is
+/// `(ticks, fuzz, seq)` — virtual time first, then the (normally zero)
+/// schedule-fuzz hash, then insertion order — and reversed, so the
+/// standard max-heap pops the earliest key. `seq` is unique per engine,
+/// so the order is total and the payload never takes part in it.
+struct Entry<K, E> {
+    ticks: u64,
+    fuzz: u64,
+    seq: u64,
+    at: K,
+    event: E,
+}
+
+impl<K, E> Entry<K, E> {
+    #[inline]
+    fn key(&self) -> (u64, u64, u64) {
+        (self.ticks, self.fuzz, self.seq)
+    }
+}
+
+impl<K, E> PartialEq for Entry<K, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<K, E> Eq for Entry<K, E> {}
+
+impl<K, E> PartialOrd for Entry<K, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K, E> Ord for Entry<K, E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// A recording hook invoked on every fired event (see
@@ -46,31 +69,25 @@ enum Sched {
 pub type PopObserver<K, E> = Box<dyn FnMut(&K, &E)>;
 
 /// A discrete-event scheduler: schedule `(time, payload)` pairs, pop
-/// them back in deterministic `(time, fuzz, tie, insertion)` order.
+/// them back in deterministic `(time, fuzz, insertion)` order.
 ///
-/// Payloads live in a slot pool, so the steady-state schedule/pop cycle
-/// allocates nothing. The queue is a calendar queue that self-monitors
-/// and migrates to a `BinaryHeap` if the timestamp distribution turns
-/// pathological — ordering is identical either way.
+/// The queue is a `BinaryHeap` holding each payload inline with its key;
+/// its storage grows to the peak number of pending events and is reused
+/// from then on, so the steady-state schedule/pop cycle allocates nothing.
 ///
 /// # Determinism
 ///
-/// Same schedule calls in the same order always pop in the same order.
-/// Events at equal times order by the `tie` key passed to
-/// [`Engine::schedule_keyed`] (components use their stable id), then by
-/// insertion order. [`Engine::with_fuzz`] inserts a seeded hash *before*
-/// the tie key, deterministically permuting same-time events per seed
-/// while leaving time order untouched — an order-dependence detector.
+/// Same schedule calls in the same order always pop in the same order:
+/// events at equal times pop in insertion order. [`Engine::with_fuzz`]
+/// inserts a seeded hash *before* the insertion sequence,
+/// deterministically permuting same-time events per seed while leaving
+/// time order untouched — an order-dependence detector.
 pub struct Engine<K: DesTime, E> {
-    pool: Pool<(K, E)>,
-    sched: Sched,
+    heap: BinaryHeap<Entry<K, E>>,
     seq: u64,
     fuzz_seed: Option<u64>,
-    scheduled: u64,
     fired: u64,
-    // Scan-cost window at the last fallback checkpoint.
-    last_pops: u64,
-    last_scanned: u64,
+    peak: usize,
     /// Recording hook called on every pop, after ordering is resolved
     /// but before the event is handed to the caller. `None` (the
     /// default) costs one branch per pop.
@@ -81,14 +98,11 @@ impl<K: DesTime, E> Engine<K, E> {
     /// An empty engine with deterministic FIFO tie-breaking.
     pub fn new() -> Self {
         Engine {
-            pool: Pool::new(),
-            sched: Sched::Calendar(Calendar::new()),
+            heap: BinaryHeap::new(),
             seq: 0,
             fuzz_seed: None,
-            scheduled: 0,
             fired: 0,
-            last_pops: 0,
-            last_scanned: 0,
+            peak: 0,
             observer: None,
         }
     }
@@ -125,46 +139,29 @@ impl<K: DesTime, E> Engine<K, E> {
         self.observer = None;
     }
 
-    /// Schedules `event` at `at` with tie key 0 (pure FIFO among
-    /// same-time events when not fuzzing).
-    #[inline]
+    /// Schedules `event` at `at`; among same-time events, earlier
+    /// schedules pop first (unless fuzzing permutes them).
     pub fn schedule(&mut self, at: K, event: E) {
-        self.schedule_keyed(at, 0, event);
-    }
-
-    /// Schedules `event` at `at`; among same-time events, lower `tie`
-    /// pops first (insertion order breaks remaining ties).
-    pub fn schedule_keyed(&mut self, at: K, tie: u64, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
         let fuzz = match self.fuzz_seed {
             Some(seed) => splitmix64(seq ^ seed),
             None => 0,
         };
-        let slot = self.pool.insert((at, event));
-        let entry = Entry {
+        self.heap.push(Entry {
             ticks: at.ticks(),
             fuzz,
-            tie,
             seq,
-            slot,
-        };
-        match &mut self.sched {
-            Sched::Calendar(c) => c.push(entry),
-            Sched::Heap(h) => h.push(Reverse(entry)),
-        }
+            at,
+            event,
+        });
+        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Pops the earliest pending event, or `None` when idle.
     pub fn pop(&mut self) -> Option<(K, E)> {
-        let entry = match &mut self.sched {
-            Sched::Calendar(c) => c.pop(),
-            Sched::Heap(h) => h.pop().map(|Reverse(e)| e),
-        }?;
+        let Entry { at, event, .. } = self.heap.pop()?;
         self.fired += 1;
-        self.maybe_fall_back();
-        let (at, event) = self.pool.take(entry.slot);
         if let Some(obs) = self.observer.as_mut() {
             obs(&at, &event);
         }
@@ -173,64 +170,21 @@ impl<K: DesTime, E> Engine<K, E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.sched {
-            Sched::Calendar(c) => c.len(),
-            Sched::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
-        let (direct_searches, resizes, heap_fallback) = match &self.sched {
-            Sched::Calendar(c) => (c.direct_searches, c.resizes, false),
-            Sched::Heap(_) => (0, 0, true),
-        };
         EngineStats {
-            scheduled: self.scheduled,
+            scheduled: self.seq,
             fired: self.fired,
-            pool_slots: self.pool.high_water(),
-            direct_searches,
-            resizes,
-            heap_fallback,
+            pool_slots: self.peak,
         }
-    }
-
-    /// Every `FALLBACK_WINDOW` pops, check the calendar's amortized scan
-    /// cost; if resizing has not tamed the distribution, migrate every
-    /// pending entry into a `BinaryHeap` (same total order) for the rest
-    /// of this engine's life.
-    fn maybe_fall_back(&mut self) {
-        let Sched::Calendar(c) = &mut self.sched else {
-            return;
-        };
-        if c.pops - self.last_pops < FALLBACK_WINDOW {
-            return;
-        }
-        let scanned = c.buckets_scanned - self.last_scanned;
-        let pops = c.pops - self.last_pops;
-        self.last_pops = c.pops;
-        self.last_scanned = c.buckets_scanned;
-        if scanned as f64 / pops as f64 > FALLBACK_SCAN_LIMIT {
-            self.migrate_to_heap();
-        }
-    }
-
-    fn migrate_to_heap(&mut self) {
-        if let Sched::Calendar(c) = &mut self.sched {
-            let mut heap = BinaryHeap::with_capacity(c.len());
-            heap.extend(c.drain_all().into_iter().map(Reverse));
-            self.sched = Sched::Heap(heap);
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn force_heap(&mut self) {
-        self.migrate_to_heap();
     }
 }
 
@@ -250,7 +204,6 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,16 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn tie_key_orders_before_insertion() {
-        let mut e: Engine<u64, u32> = Engine::new();
-        e.schedule_keyed(7, 2, 20);
-        e.schedule_keyed(7, 0, 0);
-        e.schedule_keyed(7, 1, 10);
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, [0, 10, 20]);
-    }
-
-    #[test]
     fn steady_state_allocates_no_new_slots() {
         let mut e: Engine<Seconds, [u8; 64]> = Engine::new();
         for i in 0..64 {
@@ -288,6 +231,22 @@ mod tests {
             e.schedule(Seconds::new(t.secs() + 1.0 + (i % 7) as f64), ev);
         }
         assert_eq!(e.stats().pool_slots, 64);
+    }
+
+    #[test]
+    fn pool_slots_track_peak_pending_not_total() {
+        let mut e: Engine<u64, u64> = Engine::new();
+        for i in 0..10 {
+            e.schedule(i, i);
+        }
+        while e.pop().is_some() {}
+        for i in 0..1000 {
+            e.schedule(i, i);
+            let _ = e.pop();
+        }
+        assert_eq!(e.stats().pool_slots, 10);
+        assert_eq!(e.stats().scheduled, 1010);
+        assert_eq!(e.stats().fired, 1010);
     }
 
     #[test]
@@ -375,42 +334,5 @@ mod tests {
         e.clear_observer();
         let _ = e.pop();
         assert_eq!(count.get(), 1);
-    }
-
-    #[test]
-    fn heap_migration_preserves_order_mid_run() {
-        let mut e: Engine<u64, u64> = Engine::new();
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2000 {
-            let t = next() >> 1;
-            e.schedule(t, t);
-        }
-        let mut last = 0;
-        for _ in 0..500 {
-            let (t, v) = e.pop().unwrap();
-            assert_eq!(t, v);
-            assert!(t >= last);
-            last = t;
-        }
-        // Migrate the remaining 1500 entries to the heap mid-run and
-        // keep going: the total order must be seamless across the switch.
-        e.force_heap();
-        assert!(e.stats().heap_fallback);
-        for _ in 0..2000 {
-            let t = last.saturating_add(next() >> 20);
-            e.schedule(t, t);
-        }
-        while let Some((t, _)) = e.pop() {
-            assert!(t >= last);
-            last = t;
-        }
-        assert_eq!(e.stats().scheduled, e.stats().fired);
-        assert_eq!(e.stats().scheduled, 4000);
     }
 }

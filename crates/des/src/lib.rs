@@ -3,20 +3,18 @@
 //! One scheduler core backs every event loop in the workspace: the
 //! netsim kernel, the vmpi runner's script executor, and the workload
 //! planner's analytic machine all schedule through [`Engine`] instead of
-//! maintaining private `BinaryHeap`s. The pieces:
+//! maintaining private queues. The pieces:
 //!
-//! * **Calendar queue** (Brown 1988) — O(1) amortized insert/extract on
-//!   the banded timestamp distributions simulations produce, with
-//!   self-monitoring and a `BinaryHeap` fallback for pathological
-//!   spreads. Keys are any [`DesTime`]: `u64` ticks, [`Seconds`], or
-//!   [`cpm_core::Time`] (f64 seconds map order-preservingly onto ticks
-//!   via their IEEE-754 bit patterns — no quantization).
-//! * **Pooled payloads** — event payloads park in recycled slab slots,
-//!   so the steady-state schedule/fire cycle allocates nothing; the
-//!   pool's high-water mark is exported so benches can assert it.
-//! * **Deterministic tie-breaking** — same-time events order by an
-//!   explicit tie key, then insertion order. Replays are bit-identical by
-//!   construction.
+//! * **Binary-heap scheduling** — one `BinaryHeap` min-queue whose
+//!   entries carry their payload inline, O(log n) per schedule and pop
+//!   whatever the timestamp distribution. Keys are any [`DesTime`]:
+//!   `u64` ticks, [`Seconds`], or [`cpm_core::Time`] (f64 seconds map
+//!   order-preservingly onto ticks via their IEEE-754 bit patterns — no
+//!   quantization). The heap's storage never shrinks, so the
+//!   steady-state schedule/fire cycle allocates nothing; its peak length
+//!   is exported so benches can assert it.
+//! * **Deterministic tie-breaking** — same-time events pop in insertion
+//!   order. Replays are bit-identical by construction.
 //! * **Seeded schedule fuzzing** — [`Engine::with_fuzz`] permutes
 //!   same-time events deterministically per seed without touching time
 //!   order, turning "does the answer depend on tie order?" into a
@@ -27,17 +25,15 @@
 //!   scheduling, and an engine without an observer pays one branch per
 //!   pop.
 //!
-//! [`EngineStats`] exposes scheduled/fired counts, pool high water, and
-//! calendar health so downstream crates can feed the unified metrics
+//! [`EngineStats`] exposes scheduled/fired counts and the peak number of
+//! pending events so downstream crates can feed the unified metrics
 //! registry (`cpm_des_events_total` and friends).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod calendar;
 mod engine;
 mod key;
-mod pool;
 
 pub use engine::{Engine, EngineStats, PopObserver};
 pub use key::{DesTime, Seconds};

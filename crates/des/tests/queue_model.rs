@@ -1,5 +1,5 @@
-//! Property tests: the engine (calendar queue + pool + tie-breaking)
-//! must agree with a reference `BinaryHeap` model on arbitrary
+//! Property tests: the engine (heap + inline payloads + tie-breaking)
+//! must agree with a reference `(ticks, seq)` model on arbitrary
 //! interleavings of schedules and pops, across tick distributions that
 //! exercise every regime (tight bands, identical timestamps, huge
 //! spreads, f64-bit keys).
@@ -15,39 +15,38 @@ enum Op {
     /// Schedule at `base + offset` where `base` slides with pops.
     Push {
         offset: u64,
-        tie: u64,
     },
     Pop,
 }
 
 fn op_strategy(max_offset: u64) -> impl Strategy<Value = Op> {
-    (0u32..5, 0..max_offset + 1, 0u64..4).prop_map(|(choice, offset, tie)| {
+    (0u32..5, 0..max_offset + 1).prop_map(|(choice, offset)| {
         if choice < 3 {
-            Op::Push { offset, tie }
+            Op::Push { offset }
         } else {
             Op::Pop
         }
     })
 }
 
-/// Reference model: (ticks, tie, seq) in a binary heap — the exact total
+/// Reference model: (ticks, seq) in a binary heap — the exact total
 /// order the engine promises when fuzzing is off.
 fn run_against_model(ops: Vec<Op>, scale: u64) {
     let mut engine: Engine<u64, u64> = Engine::new();
-    let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+    let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut now = 0u64;
     for op in ops {
         match op {
-            Op::Push { offset, tie } => {
+            Op::Push { offset } => {
                 let at = now.saturating_add(offset.saturating_mul(scale));
-                engine.schedule_keyed(at, tie, seq);
-                model.push(Reverse((at, tie, seq)));
+                engine.schedule(at, seq);
+                model.push(Reverse((at, seq)));
                 seq += 1;
             }
             Op::Pop => {
                 let got = engine.pop();
-                let want = model.pop().map(|Reverse((at, _, s))| (at, s));
+                let want = model.pop().map(|Reverse(key)| key);
                 assert_eq!(got, want);
                 if let Some((at, _)) = got {
                     now = at;
@@ -55,8 +54,8 @@ fn run_against_model(ops: Vec<Op>, scale: u64) {
             }
         }
     }
-    while let Some(Reverse((at, _, s))) = model.pop() {
-        assert_eq!(engine.pop(), Some((at, s)));
+    while let Some(Reverse(key)) = model.pop() {
+        assert_eq!(engine.pop(), Some(key));
     }
     assert_eq!(engine.pop(), None);
     assert!(engine.is_empty());

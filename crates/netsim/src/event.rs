@@ -1,5 +1,5 @@
 //! The event queue of the discrete-event kernel — a thin facade over the
-//! unified [`cpm_des`] engine (calendar queue + pooled payloads), keeping
+//! unified [`cpm_des`] engine (one binary heap, payloads inline), keeping
 //! the kernel's historical push/pop API. Determinism contract: events pop
 //! in time order, ties broken by insertion order — unless the cluster
 //! enables schedule fuzzing, in which case same-time events permute
@@ -116,8 +116,8 @@ impl EventQueue {
         self.engine.is_empty()
     }
 
-    /// Scheduling counters from the underlying engine (event totals, pool
-    /// high-water, calendar health).
+    /// Scheduling counters from the underlying engine (event totals and
+    /// the peak number of pending events).
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }

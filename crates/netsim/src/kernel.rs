@@ -57,8 +57,8 @@ pub struct SimStats {
     /// Events the kernel processed.
     pub events: usize,
     /// Peak number of simultaneously pending events — equal to the number
-    /// of payload slots the pooled event queue ever allocated, since slots
-    /// are recycled (the no-per-event-allocation property benches assert).
+    /// of entries the event heap ever held, since its storage is reused
+    /// (the no-per-event-allocation property benches assert).
     pub pool_slots: usize,
 }
 

@@ -38,10 +38,10 @@ where
 }
 
 /// Runs one straight-line script per rank through the kernel's threadless
-/// fast path: no OS threads, no channel round-trips, pooled events — the
-/// route workload replay takes to make 1000-rank simulations cheap. Timing
-/// semantics are identical to expressing the same operations through
-/// [`run`] with blocking [`Comm`] calls.
+/// fast path: no OS threads, no channel round-trips, no per-event
+/// allocation — the route workload replay takes to make 1000-rank
+/// simulations cheap. Timing semantics are identical to expressing the
+/// same operations through [`run`] with blocking [`Comm`] calls.
 ///
 /// # Errors
 /// Returns a simulation error on deadlock.

@@ -513,6 +513,10 @@ struct Msg {
     op: usize,
 }
 
+/// A segment's model-term attribution: one or two `(name, seconds)`
+/// pairs, the name an index into [`CpTracker::names`].
+type SegTerms = [Option<(usize, f64)>; 2];
+
 /// One tracked resource occupancy; `pred` is the segment whose end bound
 /// this segment's start (the binding dependency, not program order).
 struct CpSeg {
@@ -521,9 +525,16 @@ struct CpSeg {
     kind: &'static str,
     start: f64,
     end: f64,
-    terms: Vec<(String, f64)>,
+    terms: SegTerms,
     pred: Option<usize>,
 }
+
+// Fixed slots of `CpTracker::names`.
+const TERM_C: usize = 0;
+const TERM_T: usize = 1;
+const TERM_ALPHA: usize = 2;
+const TERM_BETA: usize = 3;
+const TERM_COMPUTE: usize = 4;
 
 /// Critical-path bookkeeping, kept out of the machine's hot loop unless
 /// requested (the hierarchical chooser runs the machine many times per
@@ -536,8 +547,10 @@ struct CpTracker {
     segs: Vec<CpSeg>,
     /// Segment that produced each rank's current clock.
     rank_seg: Vec<Option<usize>>,
-    /// Segment that last occupied each connection (`src·n + dst`).
-    conn_seg: Vec<Option<usize>>,
+    /// Segment that last occupied each connection (`src·n + dst`), stored
+    /// as index + 1 with 0 for none: `vec![0; _]` is a zeroed allocation,
+    /// so connections a plan never uses cost no writes.
+    conn_seg: Vec<usize>,
     /// Segment that last occupied each rank's rx engine.
     rx_seg: Vec<Option<usize>>,
     /// Head segment of each in-flight message's chain.
@@ -545,14 +558,27 @@ struct CpTracker {
     /// Innermost common level per pair (`src·n + dst`), when the plan is
     /// for a hierarchical model — selects the level-suffixed term names.
     pair_level: Option<Vec<usize>>,
+    /// Distinct term names; segments refer to them by index, and strings
+    /// are built only for the steps of the final path.
+    names: Vec<String>,
     /// Latency term name per level (just `"L"` for flat models).
-    lat_names: Vec<String>,
+    lat_names: Vec<usize>,
     /// Wire term name per level (just `"beta"` for flat models).
-    wire_names: Vec<String>,
+    wire_names: Vec<usize>,
 }
 
 impl CpTracker {
     fn new(n: usize, hier: Option<&HierLmo>) -> Self {
+        let mut names: Vec<String> = ["C", "t", "alpha", "beta", "compute"]
+            .map(String::from)
+            .to_vec();
+        let mut intern = |name: String| match names.iter().position(|x| *x == name) {
+            Some(i) => i,
+            None => {
+                names.push(name);
+                names.len() - 1
+            }
+        };
         let (pair_level, lat_names, wire_names) = match hier {
             Some(h) => {
                 let mut pl = vec![0usize; n * n];
@@ -563,23 +589,32 @@ impl CpTracker {
                         }
                     }
                 }
-                let lat = h.levels.iter().map(|l| format!("L[{}]", l.name)).collect();
+                let lat = h
+                    .levels
+                    .iter()
+                    .map(|l| intern(format!("L[{}]", l.name)))
+                    .collect();
                 let wire = h
                     .levels
                     .iter()
-                    .map(|l| format!("beta[{}]", l.name))
+                    .map(|l| intern(format!("beta[{}]", l.name)))
                     .collect();
                 (Some(pl), lat, wire)
             }
-            None => (None, vec!["L".to_string()], vec!["beta".to_string()]),
+            None => (
+                None,
+                vec![intern("L".to_string())],
+                vec![intern("beta".to_string())],
+            ),
         };
         CpTracker {
             segs: Vec::new(),
             rank_seg: vec![None; n],
-            conn_seg: vec![None; n * n],
+            conn_seg: vec![0; n * n],
             rx_seg: vec![None; n],
             msg_seg: Vec::new(),
             pair_level,
+            names,
             lat_names,
             wire_names,
         }
@@ -623,36 +658,34 @@ impl CpTracker {
             kind: "tx",
             start: now,
             end: s1,
-            terms: vec![("C".to_string(), c_term), ("t".to_string(), t_term)],
+            terms: [Some((TERM_C, c_term)), Some((TERM_T, t_term))],
             pred,
         });
         self.rank_seg[src] = Some(tx);
-        let lat_terms = vec![(self.lat_names[lv].clone(), lat)];
         let latseg = self.push(CpSeg {
             rank: src,
             op,
             kind: "latency",
             start: s1,
             end: arrival,
-            terms: lat_terms,
+            terms: [Some((self.lat_names[lv], lat)), None],
             pred: Some(tx),
         });
         let wire_pred = if conn_was > arrival {
-            self.conn_seg[src * n + dst]
+            self.conn_seg[src * n + dst].checked_sub(1)
         } else {
             Some(latseg)
         };
-        let wire_terms = vec![(self.wire_names[lv].clone(), wire)];
         let w = self.push(CpSeg {
             rank: src,
             op,
             kind: "wire",
             start: wire_start,
             end: done,
-            terms: wire_terms,
+            terms: [Some((self.wire_names[lv], wire)), None],
             pred: wire_pred,
         });
-        self.conn_seg[src * n + dst] = Some(w);
+        self.conn_seg[src * n + dst] = w + 1;
         self.msg_seg.push(Some(w));
     }
 
@@ -667,9 +700,9 @@ impl CpTracker {
             kind: "p2p",
             start: now,
             end: s1,
-            terms: vec![
-                ("alpha".to_string(), alpha),
-                ("beta".to_string(), (s1 - now) - alpha),
+            terms: [
+                Some((TERM_ALPHA, alpha)),
+                Some((TERM_BETA, (s1 - now) - alpha)),
             ],
             pred,
         });
@@ -685,7 +718,7 @@ impl CpTracker {
             kind: "compute",
             start,
             end,
-            terms: vec![("compute".to_string(), end - start)],
+            terms: [Some((TERM_COMPUTE, end - start)), None],
             pred,
         });
         self.rank_seg[rank] = Some(seg);
@@ -717,7 +750,7 @@ impl CpTracker {
             kind: "rx",
             start: r0,
             end: r1,
-            terms: vec![("C".to_string(), c_term), ("t".to_string(), t_term)],
+            terms: [Some((TERM_C, c_term)), Some((TERM_T, t_term))],
             pred,
         });
         self.rx_seg[dst] = Some(seg);
@@ -1030,16 +1063,23 @@ impl<'a> Machine<'a> {
             cur = cp.segs[i].pred;
         }
         idxs.reverse();
+        let named = |terms: &[(usize, f64)]| -> Vec<(String, f64)> {
+            terms
+                .iter()
+                .map(|&(k, v)| (cp.names[k].clone(), v))
+                .collect()
+        };
         let mut steps = Vec::with_capacity(idxs.len());
-        let mut terms: Vec<(String, f64)> = Vec::new();
+        let mut terms: Vec<(usize, f64)> = Vec::new();
         let mut seconds = 0.0;
         for &i in &idxs {
             let s = &cp.segs[i];
             seconds += s.end - s.start;
-            for (k, v) in &s.terms {
-                match terms.iter_mut().find(|(name, _)| name == k) {
-                    Some((_, acc)) => *acc += *v,
-                    None => terms.push((k.clone(), *v)),
+            let seg_terms: Vec<(usize, f64)> = s.terms.iter().flatten().copied().collect();
+            for &(k, v) in &seg_terms {
+                match terms.iter_mut().find(|(name, _)| *name == k) {
+                    Some((_, acc)) => *acc += v,
+                    None => terms.push((k, v)),
                 }
             }
             steps.push(CpStep {
@@ -1048,13 +1088,13 @@ impl<'a> Machine<'a> {
                 kind: s.kind,
                 start: s.start,
                 end: s.end,
-                terms: s.terms.clone(),
+                terms: named(&seg_terms),
             });
         }
         CriticalPath {
             seconds,
             steps,
-            terms,
+            terms: named(&terms),
         }
     }
 }

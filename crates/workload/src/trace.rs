@@ -21,6 +21,7 @@
 //! hash equally regardless of field order in their serialized form, and
 //! the JSON-lines and single-object forms hash identically.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use cpm_core::rank::Rank;
@@ -209,44 +210,71 @@ fn rank_u64(r: Rank) -> Value {
     Value::U64(r.0 as u64)
 }
 
+/// One field of a trace line, borrowed from the op.
+enum Field<'a> {
+    U64(u64),
+    F64(f64),
+    Str(&'a str),
+    Ranks(&'a [Rank]),
+}
+
+impl Field<'_> {
+    fn to_value(&self) -> Value {
+        match *self {
+            Field::U64(x) => Value::U64(x),
+            Field::F64(x) => Value::F64(x),
+            Field::Str(x) => Value::Str(x.to_string()),
+            Field::Ranks(rs) => Value::Seq(rs.iter().map(|r| rank_u64(*r)).collect()),
+        }
+    }
+}
+
 impl TraceOp {
-    /// The op as a single JSON object (one trace line).
-    pub fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("id".to_string(), Value::U64(self.id)),
-            ("phase".to_string(), Value::Str(self.phase.clone())),
-            ("op".to_string(), Value::Str(self.kind.name().to_string())),
-        ];
+    /// The op's fields in line order: the one definition both
+    /// [`TraceOp::to_value`] and [`Trace::hash`] read.
+    fn fields(&self) -> Vec<(&'static str, Field<'_>)> {
+        let mut f = Vec::with_capacity(6);
+        f.push(("id", Field::U64(self.id)));
+        f.push(("phase", Field::Str(&self.phase)));
+        f.push(("op", Field::Str(self.kind.name())));
+        let rank = |r: &Rank| Field::U64(r.0 as u64);
         match &self.kind {
             OpKind::P2p { src, dst, m } => {
-                entries.push(("src".to_string(), rank_u64(*src)));
-                entries.push(("dst".to_string(), rank_u64(*dst)));
-                entries.push(("m".to_string(), Value::U64(*m)));
+                f.push(("src", rank(src)));
+                f.push(("dst", rank(dst)));
+                f.push(("m", Field::U64(*m)));
             }
             OpKind::Scatter { root, m }
             | OpKind::Gather { root, m }
             | OpKind::Bcast { root, m } => {
-                entries.push(("root".to_string(), rank_u64(*root)));
-                entries.push(("m".to_string(), Value::U64(*m)));
+                f.push(("root", rank(root)));
+                f.push(("m", Field::U64(*m)));
             }
             OpKind::Reduce { root, m, gamma } => {
-                entries.push(("root".to_string(), rank_u64(*root)));
-                entries.push(("m".to_string(), Value::U64(*m)));
-                entries.push(("gamma".to_string(), Value::F64(*gamma)));
+                f.push(("root", rank(root)));
+                f.push(("m", Field::U64(*m)));
+                f.push(("gamma", Field::F64(*gamma)));
             }
             OpKind::Allgather { m } | OpKind::Alltoall { m } => {
-                entries.push(("m".to_string(), Value::U64(*m)));
+                f.push(("m", Field::U64(*m)));
             }
             OpKind::Compute { ranks, seconds } => {
-                entries.push((
-                    "ranks".to_string(),
-                    Value::Seq(ranks.iter().map(|r| rank_u64(*r)).collect()),
-                ));
-                entries.push(("seconds".to_string(), Value::F64(*seconds)));
+                f.push(("ranks", Field::Ranks(ranks)));
+                f.push(("seconds", Field::F64(*seconds)));
             }
             OpKind::Barrier => {}
         }
-        Value::Map(entries)
+        f
+    }
+
+    /// The op as a single JSON object (one trace line).
+    pub fn to_value(&self) -> Value {
+        Value::Map(
+            self.fields()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_value()))
+                .collect(),
+        )
     }
 
     /// Parses one trace line.
@@ -410,19 +438,65 @@ impl Trace {
 
     /// The stable 128-bit trace hash, hex-encoded.
     ///
-    /// Computed over the canonical JSON of [`Trace::to_value`] with the
-    /// same double-FNV-1a construction as the `cpm-serve` registry
-    /// fingerprint, so it is invariant under field reordering and under
-    /// the JSON-lines vs single-object representation.
+    /// Computed over the canonical JSON of [`Trace::to_value`] (compact,
+    /// map keys sorted at every level) with the same double-FNV-1a
+    /// construction as the `cpm-serve` registry fingerprint, so it is
+    /// invariant under field reordering and under the JSON-lines vs
+    /// single-object representation. The canonical bytes are streamed
+    /// straight into both FNV passes without building the document;
+    /// strings and floats go through `serde_json`, so their escaping and
+    /// text are the serializer's own.
     pub fn hash(&self) -> String {
-        let canonical =
-            serde_json::to_string(&canonicalize(self.to_value())).expect("trace serializes");
-        let lo = fnv1a(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-        let hi = fnv1a(
-            canonical.as_bytes(),
-            0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-        );
-        format!("{hi:016x}{lo:016x}")
+        let json = |v: &Value| serde_json::to_string(v).expect("trace serializes");
+        let mut h = Fnv2::new();
+        let mut digits = String::new();
+        // Top-level keys in sorted order: n, name, ops, trace, version.
+        h.write(b"{\"n\":");
+        h.write_u64(&mut digits, self.n as u64);
+        h.write(b",\"name\":");
+        h.write(json(&Value::Str(self.name.clone())).as_bytes());
+        h.write(b",\"ops\":[");
+        // Phases and op names repeat across ops: escape each text once.
+        let mut escaped: HashMap<&str, String> = HashMap::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            if i > 0 {
+                h.write(b",");
+            }
+            let mut fields = op.fields();
+            fields.sort_unstable_by_key(|(k, _)| *k);
+            for (j, (k, v)) in fields.iter().enumerate() {
+                h.write(if j == 0 { b"{\"" } else { b",\"" });
+                h.write(k.as_bytes());
+                h.write(b"\":");
+                match v {
+                    Field::U64(x) => h.write_u64(&mut digits, *x),
+                    Field::F64(x) => h.write(json(&Value::F64(*x)).as_bytes()),
+                    Field::Str(x) => h.write(
+                        escaped
+                            .entry(x)
+                            .or_insert_with(|| json(&Value::Str(x.to_string())))
+                            .as_bytes(),
+                    ),
+                    Field::Ranks(rs) => {
+                        h.write(b"[");
+                        for (r, rank) in rs.iter().enumerate() {
+                            if r > 0 {
+                                h.write(b",");
+                            }
+                            h.write_u64(&mut digits, rank.0 as u64);
+                        }
+                        h.write(b"]");
+                    }
+                }
+            }
+            h.write(b"}");
+        }
+        h.write(b"],\"trace\":");
+        h.write(json(&Value::Str(TRACE_FORMAT.to_string())).as_bytes());
+        h.write(b",\"version\":");
+        h.write_u64(&mut digits, TRACE_VERSION);
+        h.write(b"}");
+        format!("{:016x}{:016x}", h.hi, h.lo)
     }
 
     /// Checks that the trace is executable: at least two processes, all
@@ -511,30 +585,38 @@ impl Trace {
     }
 }
 
-/// Canonicalizes a JSON value: map keys sorted recursively (mirrors the
-/// `cpm-serve` registry fingerprint so both hash families behave alike).
-fn canonicalize(v: Value) -> Value {
-    match v {
-        Value::Map(mut entries) => {
-            for (_, val) in entries.iter_mut() {
-                let owned = std::mem::replace(val, Value::Null);
-                *val = canonicalize(owned);
-            }
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Map(entries)
-        }
-        Value::Seq(items) => Value::Seq(items.into_iter().map(canonicalize).collect()),
-        other => other,
-    }
+/// Two FNV-1a passes from independent offset bases (the halves of the
+/// 128-bit trace hash), fed the same bytes together.
+struct Fnv2 {
+    lo: u64,
+    hi: u64,
 }
 
-/// FNV-1a over `bytes`, from an arbitrary offset basis.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+impl Fnv2 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+    fn new() -> Self {
+        Fnv2 {
+            lo: 0xcbf2_9ce4_8422_2325,
+            hi: 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
+        }
     }
-    hash
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.lo = (self.lo ^ b as u64).wrapping_mul(Self::PRIME);
+            self.hi = (self.hi ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Writes `x` in decimal (JSON's integer text), formatting through
+    /// the reusable `buf`.
+    fn write_u64(&mut self, buf: &mut String, x: u64) {
+        use std::fmt::Write as _;
+        buf.clear();
+        write!(buf, "{x}").expect("formatting into a String cannot fail");
+        self.write(buf.as_bytes());
+    }
 }
 
 #[cfg(test)]
